@@ -18,8 +18,12 @@ Routes::
 Error contract -- every failure is a *structured* JSON answer, never a
 traceback and never a wrong value:
 
-* 400 -- malformed request (bad node id, bad JSON, unknown op)
+* 400 -- malformed request (bad node id, bad JSON, unknown op, a
+  ``Content-Length`` that is not a non-negative integer)
 * 404/405 -- unknown path / wrong method
+* 413 -- a request body over :data:`MAX_REQUEST_BYTES`
+* 414 / 431 -- a request line / header line longer than the stream
+  reader's 64 KiB line limit
 * 503 + ``Retry-After`` -- load shed by bounded admission
 * 503 -- no index available yet (initial build still failing)
 * 504 -- per-request deadline expired (queue wait counts against it)
@@ -48,12 +52,35 @@ from repro.serve.service import (
 MAX_REQUEST_BYTES = 1 << 20
 """Reject request bodies larger than this (1 MiB): bounded memory."""
 
+LINE_LIMIT = 1 << 16
+"""Longest request or header line (the ``asyncio.StreamReader`` limit)."""
+
 _QUERY_ROUTES = {("GET", "/reachable"), ("GET", "/successors"), ("POST", "/batch")}
 
 
 def _first(params: dict[str, list[str]], name: str) -> str | None:
     values = params.get(name)
     return values[0] if values else None
+
+
+class _FramingError(Exception):
+    """The request's framing cannot be read: answer ``status``, then close.
+
+    After a framing error the connection's byte stream has no known
+    request boundary, so the answer always carries ``Connection: close``.
+    """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One CRLF-terminated line; a line over :data:`LINE_LIMIT` is ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # StreamReader's limit overrun
+        raise _FramingError(status, f"{what} exceeds {LINE_LIMIT} bytes") from None
 
 
 class ServeServer:
@@ -77,11 +104,12 @@ class ServeServer:
         """Bind the socket and start accepting connections."""
         if self.uds is not None:
             self._server = await asyncio.start_unix_server(
-                self._serve_connection, path=self.uds
+                self._serve_connection, path=self.uds, limit=LINE_LIMIT
             )
         else:
             self._server = await asyncio.start_server(
-                self._serve_connection, host=self.host, port=self.port
+                self._serve_connection, host=self.host, port=self.port,
+                limit=LINE_LIMIT,
             )
             self.port = self._server.sockets[0].getsockname()[1]
 
@@ -106,7 +134,15 @@ class ServeServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as error:
+                    self.service.telemetry.bump("invalid_requests")
+                    self._write_response(
+                        writer, error.status, {"error": str(error)}, {}, False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -139,7 +175,7 @@ class ServeServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
         try:
-            request_line = await reader.readline()
+            request_line = await _read_line(reader, 414, "request line")
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return None
         if not request_line or not request_line.strip():
@@ -150,15 +186,26 @@ class ServeServer:
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "request header line")
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _FramingError(
+                400, f"invalid Content-Length {raw_length!r}: "
+                "expected a non-negative integer"
+            )
+        length = int(raw_length)
         if length > MAX_REQUEST_BYTES:
+            raise _FramingError(
+                413, f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES}"
+            )
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:  # the peer closed mid-body
             return None
-        body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
     def _write_response(
@@ -170,8 +217,10 @@ class ServeServer:
         keep_alive: bool,
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 503: "Service Unavailable",
-                   504: "Gateway Timeout"}
+                   405: "Method Not Allowed", 413: "Content Too Large",
+                   414: "URI Too Long",
+                   431: "Request Header Fields Too Large",
+                   503: "Service Unavailable", 504: "Gateway Timeout"}
         body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
         head = [
             f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",

@@ -335,25 +335,27 @@ class ReachabilityService:
         Shedding is decided *before* waiting -- a doomed request gets
         its 503 in microseconds, which is the whole point of
         backpressure -- using two budgets: absolute queue depth, and
-        estimated wait derived from the observed mean latency.
+        estimated wait derived from the observed mean latency.  The
+        mean sums the whole latency window, so it is only computed for
+        a request that would wait.
         """
         depth = self._waiting
         self.telemetry.observe_queue_depth(depth)
-        would_wait = self._semaphore.locked()
-        estimated_wait = (depth + 1) * self.telemetry.mean_latency()
-        if would_wait and depth >= self.config.max_queue:
-            self.telemetry.bump("shed")
-            raise OverloadedError(
-                f"admission queue full ({depth} waiting)",
-                retry_after=max(0.05, estimated_wait),
-            )
-        if would_wait and estimated_wait > self.config.max_wait_ms / 1e3:
-            self.telemetry.bump("shed")
-            raise OverloadedError(
-                f"estimated wait {estimated_wait * 1e3:.0f}ms exceeds "
-                f"budget {self.config.max_wait_ms:g}ms",
-                retry_after=estimated_wait,
-            )
+        if self._semaphore.locked():
+            estimated_wait = (depth + 1) * self.telemetry.mean_latency()
+            if depth >= self.config.max_queue:
+                self.telemetry.bump("shed")
+                raise OverloadedError(
+                    f"admission queue full ({depth} waiting)",
+                    retry_after=max(0.05, estimated_wait),
+                )
+            if estimated_wait > self.config.max_wait_ms / 1e3:
+                self.telemetry.bump("shed")
+                raise OverloadedError(
+                    f"estimated wait {estimated_wait * 1e3:.0f}ms exceeds "
+                    f"budget {self.config.max_wait_ms:g}ms",
+                    retry_after=estimated_wait,
+                )
         self._waiting += 1
         try:
             await self._semaphore.acquire()

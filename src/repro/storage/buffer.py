@@ -26,6 +26,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING
 
 from repro.chaos.faults import FaultKind, FaultPlan, active_plan
@@ -71,33 +72,68 @@ class ReplacementPolicy(ABC):
     def note_evict(self, page: PageId) -> None:
         """Called when ``page`` leaves the pool."""
 
+    def note_pin(self, page: PageId) -> None:
+        """Called when the resident ``page`` gains its first pin."""
+
+    def note_unpin(self, page: PageId) -> None:
+        """Called when the resident ``page`` loses its last pin."""
+
     @abstractmethod
     def choose_victim(self, pinned: set[PageId]) -> PageId | None:
-        """Return an unpinned resident page to evict, or ``None``."""
+        """Return an unpinned resident page to evict, or ``None``.
+
+        ``pinned`` is the pool's set of pinned pages; a policy that
+        tracks pins through :meth:`note_pin`/:meth:`note_unpin` need
+        not consult it.
+        """
 
 
 class LruPolicy(ReplacementPolicy):
-    """Evict the least recently used unpinned page."""
+    """Evict the least recently used unpinned page.
+
+    Pinned pages are kept out of the eviction order, so choosing a
+    victim never scans past them (Hybrid pins most of the pool).  Every
+    page carries the tick of its last use; an unpinned page re-enters
+    the order at the place that tick gives it, so the victim is exactly
+    the least recently used unpinned page.
+    """
 
     name = "lru"
 
     def __init__(self) -> None:
-        self._order: OrderedDict[PageId, None] = OrderedDict()
+        # Unpinned resident pages, oldest use first -> tick of last use.
+        self._order: OrderedDict[PageId, int] = OrderedDict()
+        # Pinned resident pages -> tick of last use.
+        self._held: dict[PageId, int] = {}
+        self._tick = count().__next__
 
     def note_admit(self, page: PageId) -> None:
-        self._order[page] = None
+        self._order[page] = self._tick()
 
     def note_access(self, page: PageId) -> None:
-        self._order.move_to_end(page)
+        if page in self._held:
+            self._held[page] = self._tick()
+        else:
+            order = self._order
+            del order[page]
+            order[page] = self._tick()
 
     def note_evict(self, page: PageId) -> None:
         self._order.pop(page, None)
 
+    def note_pin(self, page: PageId) -> None:
+        self._held[page] = self._order.pop(page)
+
+    def note_unpin(self, page: PageId) -> None:
+        tick = self._held.pop(page)
+        order = self._order
+        later = [other for other, used in order.items() if used > tick]
+        order[page] = tick
+        for other in later:
+            order.move_to_end(other)
+
     def choose_victim(self, pinned: set[PageId]) -> PageId | None:
-        for page in self._order:
-            if page not in pinned:
-                return page
-        return None
+        return next(iter(self._order), None)
 
 
 class MruPolicy(LruPolicy):
@@ -106,35 +142,18 @@ class MruPolicy(LruPolicy):
     name = "mru"
 
     def choose_victim(self, pinned: set[PageId]) -> PageId | None:
-        for page in reversed(self._order):
-            if page not in pinned:
-                return page
-        return None
+        return next(reversed(self._order), None)
 
 
-class FifoPolicy(ReplacementPolicy):
+class FifoPolicy(LruPolicy):
     """Evict the unpinned page that entered the pool earliest."""
 
     name = "fifo"
 
-    def __init__(self) -> None:
-        self._order: OrderedDict[PageId, None] = OrderedDict()
-
-    def note_admit(self, page: PageId) -> None:
-        self._order[page] = None
-
     def note_access(self, page: PageId) -> None:
-        # FIFO ignores accesses after admission.
+        # FIFO ignores accesses after admission: a page's tick stays
+        # its admission tick.
         pass
-
-    def note_evict(self, page: PageId) -> None:
-        self._order.pop(page, None)
-
-    def choose_victim(self, pinned: set[PageId]) -> PageId | None:
-        for page in self._order:
-            if page not in pinned:
-                return page
-        return None
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -233,7 +252,7 @@ def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
     return cls()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     page: PageId
     dirty: bool = False
@@ -276,6 +295,14 @@ class BufferPool:
     path only, so the hit path -- the hot path of every experiment --
     is exactly as before, and with no plan armed a miss costs one
     ``None`` comparison.
+
+    Hot-path contract: a hit counts straight into the stats' phase
+    counters (no method call) and calls the policy hook bound once
+    here; every observer above -- recorder, collector, auditor, chaos
+    plan -- costs one ``None`` check when absent.  A stats object
+    observed by :meth:`~repro.storage.trace.PageTrace.attach` (which
+    replaces its ``record_*`` methods) is charged through those
+    methods instead, so the trace still sees every hit.
     """
 
     def __init__(
@@ -292,6 +319,14 @@ class BufferPool:
         self.capacity = capacity
         self.stats = stats if stats is not None else IoStats()
         self._policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
+        self._note_access = self._policy.note_access
+        self._note_admit = self._policy.note_admit
+        self._note_evict = self._policy.note_evict
+        self._choose_victim = self._policy.choose_victim
+        self._note_pin = self._policy.note_pin
+        self._note_unpin = self._policy.note_unpin
+        # PageTrace.attach() replaces record_* on the instance.
+        self._observed_stats = "record_request" in vars(self.stats)
         self._recorder = recorder
         self._auditor = auditor
         self.collector = collector
@@ -327,31 +362,25 @@ class BufferPool:
         """
         frame = self._frames.get(page)
         if frame is not None:
-            self.stats.record_request(page.kind, hit=True)
-            self._policy.note_access(page)
-            frame.dirty = frame.dirty or dirty
+            if self._observed_stats:
+                self.stats.record_request(page.kind, hit=True)
+            else:
+                stats = self.stats
+                phase = stats.phase
+                stats.requests[phase] += 1
+                stats.hits[phase] += 1
+            self._note_access(page)
+            if dirty:
+                frame.dirty = True
             if self.collector is not None:
                 self.collector.emit(EV_PAGE_HIT, page.kind.value, page.number)
             return True
 
-        plan = active_plan()
-        with span("pool.read", self._recorder):
-            if plan is not None:
-                self._inject_read_faults(plan, page, pre_admit=True)
-            if len(self._frames) >= self.capacity:
-                self._evict_one()
-            # Counted only once the page is actually served: when every
-            # frame is pinned the eviction above raises and Hybrid
-            # reblocks and retries, and an aborted attempt must not
-            # break the requests = hits + reads identity.
-            self.stats.record_request(page.kind, hit=False)
-            self.stats.record_read(page.kind)
-            self._frames[page] = _Frame(page, dirty=dirty)
-            self._policy.note_admit(page)
-            if self.collector is not None:
-                self.collector.emit(EV_PAGE_FETCH, page.kind.value, page.number)
-            if plan is not None:
-                self._inject_read_faults(plan, page, pre_admit=False)
+        if self._recorder is None:
+            self._fault_in(page, dirty)
+        else:
+            with span("pool.read", self._recorder):
+                self._fault_in(page, dirty)
         return False
 
     def create(self, page: PageId) -> None:
@@ -365,14 +394,14 @@ class BufferPool:
         frame = self._frames.get(page)
         if frame is not None:
             frame.dirty = True
-            self._policy.note_access(page)
+            self._note_access(page)
             return
         # Materialising a new page is not a lookup: no request, no
         # hit, no read -- only the future write when it leaves dirty.
         if len(self._frames) >= self.capacity:
             self._evict_one()
         self._frames[page] = _Frame(page, dirty=True)
-        self._policy.note_admit(page)
+        self._note_admit(page)
         if self.collector is not None:
             self.collector.emit(EV_PAGE_CREATE, page.kind.value, page.number)
 
@@ -383,8 +412,11 @@ class BufferPool:
         must be matched by an :meth:`unpin`.
         """
         hit = self.access(page, dirty=dirty)
-        self._frames[page].pin_count += 1
-        self._pinned.add(page)
+        frame = self._frames[page]
+        frame.pin_count += 1
+        if frame.pin_count == 1:
+            self._pinned.add(page)
+            self._note_pin(page)
         if self.collector is not None:
             self.collector.emit(EV_PAGE_PIN, page.kind.value, page.number)
         return hit
@@ -397,14 +429,15 @@ class BufferPool:
         frame.pin_count -= 1
         if frame.pin_count == 0:
             self._pinned.discard(page)
+            self._note_unpin(page)
         if self.collector is not None:
             self.collector.emit(EV_PAGE_UNPIN, page.kind.value, page.number)
 
     def unpin_all(self) -> None:
         """Release every pin (used when Hybrid tears down a block)."""
         for page in list(self._pinned):
-            frame = self._frames[page]
-            frame.pin_count = 0
+            self._frames[page].pin_count = 0
+            self._note_unpin(page)
             if self.collector is not None:
                 self.collector.emit(
                     EV_PAGE_UNPIN, page.kind.value, page.number, detail="all"
@@ -462,6 +495,26 @@ class BufferPool:
 
     # -- internals ---------------------------------------------------------
 
+    def _fault_in(self, page: PageId, dirty: bool) -> None:
+        """The miss path: one physical read, evicting a victim if full."""
+        plan = active_plan()
+        if plan is not None:
+            self._inject_read_faults(plan, page, pre_admit=True)
+        if len(self._frames) >= self.capacity:
+            self._evict_one()
+        # Counted only once the page is actually served: when every
+        # frame is pinned the eviction above raises and Hybrid
+        # reblocks and retries, and an aborted attempt must not
+        # break the requests = hits + reads identity.
+        self.stats.record_request(page.kind, hit=False)
+        self.stats.record_read(page.kind)
+        self._frames[page] = _Frame(page, dirty)
+        self._note_admit(page)
+        if self.collector is not None:
+            self.collector.emit(EV_PAGE_FETCH, page.kind.value, page.number)
+        if plan is not None:
+            self._inject_read_faults(plan, page, pre_admit=False)
+
     def _inject_read_faults(self, plan: FaultPlan, page: PageId, pre_admit: bool) -> None:
         """Fault site: one physical page read (chaos plane, see class doc)."""
         if pre_admit:
@@ -481,13 +534,16 @@ class BufferPool:
                 )
 
     def _record_write(self, kind: PageKind, number: int | None = None) -> None:
-        with span("pool.write", self._recorder):
+        if self._recorder is None:
             self.stats.record_write(kind)
+        else:
+            with span("pool.write", self._recorder):
+                self.stats.record_write(kind)
         if self.collector is not None:
             self.collector.emit(EV_PAGE_WRITE, kind.value, number)
 
     def _evict_one(self) -> None:
-        victim = self._policy.choose_victim(self._pinned)
+        victim = self._choose_victim(self._pinned)
         if victim is None:
             raise BufferPoolExhaustedError(
                 f"all {self.capacity} frames are pinned; cannot fault in a new page"
@@ -495,14 +551,14 @@ class BufferPool:
         self._drop(self._frames[victim])
 
     def _drop(self, frame: _Frame) -> None:
+        page = frame.page
         if frame.dirty:
-            self._record_write(frame.page.kind, frame.page.number)
-        del self._frames[frame.page]
-        self._pinned.discard(frame.page)
-        self._policy.note_evict(frame.page)
+            self._record_write(page.kind, page.number)
+        del self._frames[page]
+        if frame.pin_count:
+            self._pinned.discard(page)
+        self._note_evict(page)
         if self.collector is not None:
-            self.collector.emit(
-                EV_PAGE_EVICT, frame.page.kind.value, frame.page.number
-            )
+            self.collector.emit(EV_PAGE_EVICT, page.kind.value, page.number)
         if self._auditor is not None:
             self._auditor.after_evict(self)

@@ -13,7 +13,7 @@ The constants below are taken directly from Section 5.1 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -64,13 +64,19 @@ class PageKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class PageId:
+class PageId(NamedTuple):
     """Identity of a simulated disk page.
 
     ``kind`` names the data structure the page belongs to and ``number``
     is the page's position within that structure.  Two pages are the
     same page if and only if their :class:`PageId` values are equal.
+
+    A ``NamedTuple`` rather than a frozen dataclass: the buffer pool
+    hashes and compares page ids several times per request, and a
+    tuple does both in C (``PageKind`` hashes by identity), where a
+    dataclass runs a Python-level ``__hash__``/``__eq__`` every time.
+    The hash is the same as the dataclass's (the hash of the field
+    tuple), so set and dict iteration orders do not change either.
     """
 
     kind: PageKind

@@ -58,6 +58,12 @@ class ArcRelation:
         self.num_tuples = self._offsets[graph.num_nodes]
         self.num_pages = pages_needed(self.num_tuples, TUPLES_PER_PAGE)
         self.num_index_leaves = pages_needed(graph.num_nodes, INDEX_ENTRIES_PER_PAGE)
+        # Every page id the access paths touch, built once: data pages,
+        # then index leaves followed by the index root.
+        self._page_ids = tuple(PageId(kind, number) for number in range(self.num_pages))
+        self._index_ids = tuple(
+            PageId(index_kind, number) for number in range(self.num_index_leaves + 1)
+        )
 
     # -- layout ------------------------------------------------------------
 
@@ -89,8 +95,8 @@ class ArcRelation:
         Used by full-closure restructuring, which converts every tuple
         to successor-list format in one pass.
         """
-        for number in range(self.num_pages):
-            pool.access(PageId(self.kind, number))
+        for page in self._page_ids:
+            pool.access(page)
         return self.num_pages
 
     def read_successors(self, node: int, pool: BufferPool, use_index: bool = True) -> list[int]:
@@ -104,8 +110,9 @@ class ArcRelation:
         """
         if use_index:
             self._charge_index(node, pool)
+        page_ids = self._page_ids
         for number in self.pages_for_node(node):
-            pool.access(PageId(self.kind, number))
+            pool.access(page_ids[number])
         return self._graph.successors(node)
 
     def probe_arcs_unclustered(self, node_arcs: int, pool: BufferPool, seed_position: int) -> None:
@@ -124,15 +131,13 @@ class ArcRelation:
         for step in range(node_arcs):
             # Deterministic scatter across the file (linear congruence).
             number = (seed_position * 2654435761 + step * 40503) % self.num_pages
-            pool.access(PageId(self.kind, number))
+            pool.access(self._page_ids[number])
 
     # -- internals -----------------------------------------------------------
 
     def _charge_index(self, node: int, pool: BufferPool) -> None:
-        root = PageId(self.index_kind, self.num_index_leaves)
-        pool.access(root)
-        leaf = PageId(self.index_kind, node // INDEX_ENTRIES_PER_PAGE)
-        pool.access(leaf)
+        pool.access(self._index_ids[self.num_index_leaves])
+        pool.access(self._index_ids[node // INDEX_ENTRIES_PER_PAGE])
 
 
 class InverseArcRelation(ArcRelation):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.chaos.faults import FaultKind, active_plan
 from repro.errors import StorageError, TornWriteError
@@ -61,6 +62,9 @@ class ListPlacementPolicy(enum.Enum):
     MOVE_SMALLEST = "move_smallest"
 
 
+_block_page = itemgetter(0)
+
+
 @dataclass
 class _ListLayout:
     """Where one successor list lives: (page, used-entries) per block."""
@@ -70,10 +74,7 @@ class _ListLayout:
 
     def pages(self) -> list[int]:
         """Distinct page numbers holding this list, in block order."""
-        seen: dict[int, None] = {}
-        for page, _used in self.blocks:
-            seen[page] = None
-        return list(seen)
+        return list(dict.fromkeys(map(_block_page, self.blocks)))
 
 
 class SuccessorListStore:
@@ -108,6 +109,9 @@ class SuccessorListStore:
         self._free_blocks: dict[int, int] = {}  # page number -> free block slots
         self._lists_on_page: dict[int, set[int]] = {}
         self._next_page = 0
+        # _page_ids[n] is page n's PageId, built once when the page is
+        # allocated, so page touches reuse it instead of building one.
+        self._page_ids: list[PageId] = []
         self._append_page: int | None = None
         self._relocating = False
         self.splits = 0
@@ -127,7 +131,8 @@ class SuccessorListStore:
         layout = self._layouts.get(node)
         if layout is None:
             return []
-        return [PageId(self.kind, number) for number in layout.pages()]
+        page_ids = self._page_ids
+        return [page_ids[number] for number in layout.pages()]
 
     def page_count(self, node: int) -> int:
         """How many pages ``node``'s list spans."""
@@ -165,8 +170,9 @@ class SuccessorListStore:
         """
         layout = self._require(node)
         pages = layout.pages()
+        access, page_ids = self.pool.access, self._page_ids
         for number in pages:
-            self.pool.access(PageId(self.kind, number))
+            access(page_ids[number])
         return len(pages)
 
     def read_blocks(self, node: int, block_indexes: list[int]) -> int:
@@ -181,8 +187,9 @@ class SuccessorListStore:
         for index in block_indexes:
             if 0 <= index < len(layout.blocks):
                 pages[layout.blocks[index][0]] = None
+        access, page_ids = self.pool.access, self._page_ids
         for number in pages:
-            self.pool.access(PageId(self.kind, number))
+            access(page_ids[number])
         return len(pages)
 
     def append(self, node: int, count: int) -> None:
@@ -244,7 +251,7 @@ class SuccessorListStore:
                 self._check_torn_write(plan, node, tail[0])
                 tail[1] += take
                 remaining -= take
-                self.pool.access(PageId(self.kind, tail[0]), dirty=True)
+                self.pool.access(self._page_ids[tail[0]], dirty=True)
         while remaining > 0:
             page = self._page_for_new_block(node, layout)
             self._check_torn_write(plan, node, page)
@@ -277,7 +284,7 @@ class SuccessorListStore:
         if layout.blocks:
             last_page = layout.blocks[-1][0]
             if self._free_blocks.get(last_page, 0) > 0:
-                self.pool.access(PageId(self.kind, last_page), dirty=True)
+                self.pool.access(self._page_ids[last_page], dirty=True)
                 return last_page
             # The list's page is full: this is a page split.  Relocation
             # is suppressed while already relocating, so a victim's move
@@ -294,7 +301,7 @@ class SuccessorListStore:
                 finally:
                     self._relocating = False
                 if freed:
-                    self.pool.access(PageId(self.kind, last_page), dirty=True)
+                    self.pool.access(self._page_ids[last_page], dirty=True)
                     return last_page
         return self._append_page_for(node)
 
@@ -306,9 +313,10 @@ class SuccessorListStore:
             self._next_page += 1
             self._free_blocks[page] = self.blocks_per_page
             self._append_page = page
-            self.pool.create(PageId(self.kind, page))
+            self._page_ids.append(PageId(self.kind, page))
+            self.pool.create(self._page_ids[page])
         else:
-            self.pool.access(PageId(self.kind, page), dirty=True)
+            self.pool.access(self._page_ids[page], dirty=True)
         return page
 
     def _relocate_other_list(self, node: int, page: int) -> bool:
@@ -329,7 +337,7 @@ class SuccessorListStore:
 
         # Read the victim's pages (it must be brought in to be moved)...
         for number in victim_layout.pages():
-            self.pool.access(PageId(self.kind, number))
+            self.pool.access(self._page_ids[number])
         # ...free its blocks on *this* page and re-allocate them elsewhere.
         moved_entries = 0
         kept_blocks = []

@@ -43,11 +43,9 @@ class TestPageId:
         assert PageId(PageKind.RELATION, 3) != PageId(PageKind.RELATION, 4)
 
     def test_page_id_is_immutable(self):
-        import dataclasses
-
         import pytest
 
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             PageId(PageKind.RELATION, 0).number = 1
 
 

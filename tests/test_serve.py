@@ -8,7 +8,9 @@ both TCP and UNIX-domain sockets.
 """
 
 import asyncio
+import json
 import random
+from collections import deque
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.cache import ResultCache
-from repro.serve.http import ServeClient, ServeServer
+from repro.serve.http import MAX_REQUEST_BYTES, ServeClient, ServeServer
 from repro.serve.retry import (
     DEFAULT_BACKOFF_SEED,
     BackoffPolicy,
@@ -370,6 +372,24 @@ class TestReachabilityService:
 
         asyncio.run(run())
 
+    def test_uncontended_admission_does_not_scan_the_latency_window(self, graph):
+        """The mean latency is only needed when a request would wait."""
+
+        class UnscannableWindow(deque):
+            def __iter__(self):
+                raise AssertionError("admission iterated the latency window")
+
+        async def run():
+            service = await built_service(graph)
+            window = UnscannableWindow([0.001] * 65536, maxlen=65536)
+            service.telemetry._latencies = window
+            for _ in range(3):
+                async with service.admitted():
+                    pass
+            assert len(window) == 65536
+
+        asyncio.run(run())
+
     def test_queries_hit_the_cache(self, graph):
         async def run():
             service = await built_service(graph)
@@ -474,6 +494,140 @@ async def start_server(graph, uds=None, **overrides):
     await server.start()
     client = ServeClient(uds=uds) if uds else ServeClient(port=server.port)
     return service, server, client
+
+
+async def raw_exchange(server, data: bytes) -> tuple[int, dict, list]:
+    """Send raw bytes; return (status, JSON body, loop exceptions seen).
+
+    The loop's exception handler is recorded so a test can assert that
+    nothing escaped the connection handler unhandled.
+    """
+    escaped: list = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: escaped.append(context)
+    )
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=5)
+        lines = head.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        headers = dict(
+            (name.strip().lower(), value.strip())
+            for name, _, value in (line.partition(":") for line in lines[1:] if line)
+        )
+        body = await reader.readexactly(int(headers["content-length"]))
+        assert headers["connection"] == "close"
+        # The server closes the connection after a framing error.
+        assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+    finally:
+        writer.close()
+    await asyncio.sleep(0.05)  # let the server's connection task finish
+    return status, json.loads(body), escaped
+
+
+class TestHTTPFraming:
+    """Malformed framing gets a structured answer, never a dropped socket."""
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "\u00b2"])
+    def test_bad_content_length_is_a_structured_400(self, graph, length):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                request = (
+                    f"POST /batch HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                ).encode("utf-8")
+                status, payload, escaped = await raw_exchange(server, request)
+                assert status == 400
+                assert "Content-Length" in payload["error"]
+                assert escaped == []
+                assert service.telemetry.count("invalid_requests") == 1
+                # The server keeps serving other connections.
+                status, _ = await client.reachable(0, 1)
+                assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_oversized_header_line_is_a_431(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                request = (
+                    b"GET /reachable?u=0&v=1 HTTP/1.1\r\nX-Filler: "
+                    + b"a" * 70_000
+                    + b"\r\n\r\n"
+                )
+                status, payload, escaped = await raw_exchange(server, request)
+                assert status == 431
+                assert "header" in payload["error"]
+                assert escaped == []
+                status, _ = await client.reachable(0, 1)
+                assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_oversized_body_is_a_413(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                request = (
+                    f"POST /batch HTTP/1.1\r\nContent-Length: {MAX_REQUEST_BYTES + 1}"
+                    "\r\n\r\n"
+                ).encode()
+                status, payload, escaped = await raw_exchange(server, request)
+                assert status == 413
+                assert str(MAX_REQUEST_BYTES) in payload["error"]
+                assert escaped == []
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_truncated_body_closes_quietly(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            escaped: list = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: escaped.append(context)
+            )
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(b"POST /batch HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}")
+                writer.write_eof()
+                assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+                writer.close()
+                await asyncio.sleep(0.05)
+                assert escaped == []
+                status, _ = await client.reachable(0, 1)
+                assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_oversized_request_line_is_a_414(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                request = b"GET /reachable?u=" + b"0" * 70_000 + b" HTTP/1.1\r\n\r\n"
+                status, payload, escaped = await raw_exchange(server, request)
+                assert status == 414
+                assert "request line" in payload["error"]
+                assert escaped == []
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
 
 
 class TestHTTPServer:
