@@ -42,44 +42,53 @@ obtains the immediate predecessor lists:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
 
 from repro.core.base import TwoPhaseAlgorithm
 from repro.core.context import ExecutionContext
 from repro.storage.engine import CAP_PAGE_COSTS, PageId, PageKind
 
 
-# A tree node is a plain two-slot list ``[node_id, children]`` rather
-# than a class: the merge loop below allocates and walks hundreds of
-# thousands of these per run, and list construction/indexing is
-# markedly cheaper than instance creation and attribute access.  The
-# representation never leaves this module.
-_TreeNode = list  # [int, list[_TreeNode]]
-
-
-@dataclass
 class _SpecialTree:
-    """A special-node predecessor tree for one magic-graph node."""
+    """A special-node predecessor tree for one magic-graph node.
 
-    root: "_TreeNode | None" = None
-    ids: set[int] = field(default_factory=set)
-    source_bits: int = 0
-    internal_count: int = 0
-    """Number of nodes with at least one child.
+    The tree is stored flat, in post-order: ``nodes[i]`` is the id of
+    entry ``i`` and ``sizes[i]`` the number of entries in its subtree,
+    so that subtree is the contiguous block ``i - sizes[i] + 1 .. i``
+    and the root is the last entry.  Two ``array('q')`` columns per
+    tree, instead of a Python object per node, keep the cyclic
+    collector's work proportional to the number of trees rather than
+    the millions of tree nodes a G9 run builds.
 
-    Maintained incrementally as nodes are created: a copied subtree is
-    never restructured afterwards (later merges only add sibling
-    subtrees), so a node's internal/leaf status is fixed at creation.
+    An id can occur twice: a source that became a branch node of its
+    own tree is contributed to its children as the source wrapper over
+    that tree, whose root is the same id.  ``size`` therefore counts
+    *distinct* ids (it is fixed when the tree is finished), never the
+    entries.
     """
 
+    __slots__ = ("nodes", "sizes", "size", "source_bits", "internal_count")
+
+    def __init__(self) -> None:
+        self.nodes = array("q")
+        self.sizes = array("q")
+        self.size = 0
+        self.source_bits = 0
+        # Entries with at least one child.  Counted as entries are
+        # appended: a copied subtree is never restructured afterwards
+        # (later merges only add sibling subtrees), so an entry's
+        # internal/leaf status is fixed.
+        self.internal_count = 0
+
     @property
-    def size(self) -> int:
-        return len(self.ids)
+    def ids(self) -> set[int]:
+        """The distinct ids in the tree (derived; for inspection only)."""
+        return set(self.nodes)
 
     @property
     def stored_entries(self) -> int:
         """On-disk entries: each node once, plus one marker per parent."""
-        return len(self.ids) + self.internal_count
+        return self.size + self.internal_count
 
 
 class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
@@ -160,8 +169,9 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
 
         for node in ctx.topo_order:
             tree = _SpecialTree()
-            tree_ids = tree.ids
-            merged_roots: list[_TreeNode] = []
+            # The ids in this tree; needed only while it is built.
+            tree_ids: set[int] = set()
+            merged_roots = 0
             preds = predecessors[node]
             if preds:
                 # Bring the node's materialised predecessor list in.
@@ -176,7 +186,6 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                 parents = sorted(preds, key=position.__getitem__, reverse=True)
                 for parent in parents:
                     arcs_considered += 1
-                    parent_tree = trees[parent]
                     if parent in tree_ids:
                         # The parent itself is a special node already in
                         # this tree: the only case where the marking
@@ -187,14 +196,13 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                         arcs_marked += 1
                         continue
                     locality += levels[parent] - node_level
+                    parent_tree = trees[parent]
                     # The tree a parent arc contributes: T(p), under p
                     # itself when p is a source.
-                    parent_root = parent_tree.root
                     if parent in sources:
-                        children = [parent_root] if parent_root is not None else []
-                        contribution = [parent, children]
-                    elif parent_root is not None:
-                        contribution = parent_root
+                        wrapper = parent
+                    elif parent_tree.nodes:
+                        wrapper = None
                     else:
                         # The parent is a non-source with an empty tree:
                         # nothing can flow through this arc.
@@ -203,23 +211,23 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                     # any new node (the paper's arc (j, d) example): the
                     # parent's tree must still be brought into memory.
                     unions += 1
-                    if parent_tree.ids:
+                    if parent_tree.nodes:
                         store_read(parent)
-                    copied = merge(contribution, tree, sources, metrics)
-                    if copied is not None:
-                        merged_roots.append(copied)
+                    if merge(parent_tree, wrapper, tree, tree_ids, sources, metrics):
+                        merged_roots += 1
 
-            if len(merged_roots) > 1:
+            if merged_roots > 1:
                 # Unrelated source groups meet for the first time here:
-                # the node itself becomes a branch (special) node.
-                tree.root = [node, merged_roots]
+                # the node itself becomes a branch (special) node, the
+                # root over every merged block.
+                tree.nodes.append(node)
+                tree.sizes.append(len(tree.nodes))
                 tree.internal_count += 1
                 tree_ids.add(node)
                 if node in sources:
                     tree.source_bits |= 1 << node
                 branch_nodes += 1
-            elif merged_roots:
-                tree.root = merged_roots[0]
+            tree.size = len(tree_ids)
             trees[node] = tree
             store_create(node, tree.stored_entries)
             lists[node] = 0  # flat lists are not used by JKB
@@ -235,19 +243,36 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
 
     def _merge(
         self,
-        contribution: _TreeNode,
+        parent_tree: _SpecialTree,
+        wrapper: int | None,
         tree: _SpecialTree,
+        tree_ids: set[int],
         sources: set[int],
         metrics,
-    ) -> "_TreeNode | None":
-        """Copy the contribution into ``tree``, pruning and splicing.
+    ) -> bool:
+        """Copy one contribution into ``tree``, pruning and splicing.
 
-        Returns the copied root (or its spliced replacement), or None
-        when everything was already present.  The copy is bottom-up:
-        only nodes that are still *special with respect to the new
+        The contribution is ``parent_tree``, or a virtual root
+        ``wrapper`` over it when the parent is a source.  Returns
+        whether a copy (one new root block at the end of ``tree``'s
+        arrays) was made; False when everything was already present.
+        Only nodes that are still *special with respect to the new
         tree* survive -- sources not yet present, and interior nodes
-        that still join two or more surviving groups.  Iterative
-        post-order traversal: special trees can be ``2|S|`` deep.
+        that still join two or more surviving groups.
+
+        The walk scans the parent's arrays backwards, which visits the
+        tree in pre-order with children right to left; a pruned subtree
+        is skipped whole by stepping over its block.  The copy is
+        emitted in post-order straight into ``tree``: a kept node
+        appends ``(id, size)`` once its children are done, so its
+        children's blocks are exactly what was appended since it was
+        entered, and a spliced node with one surviving child appends
+        nothing -- that child's block is already in place.  The copy
+        lists siblings in the reverse of the parent's order.  No counter
+        depends on that order: two entries of a tree that are not
+        ancestor and descendant never share an id (the later-visited
+        one would have been pruned), so whether a node is pruned does
+        not depend on which of its relatives' siblings came first.
 
         This is the single hottest loop of JKB/JKB2 (every parent arc
         walks a whole contribution tree), so the counters are kept in
@@ -255,84 +280,88 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         totals are identical, phase-boundary readers never observe a
         partial merge.
         """
-        tree_ids = tree.ids
-        tuple_io = duplicates = generated = internal = 0
-        source_bits = 0
-        result: _TreeNode | None = None
-        # The duplicate test runs *before* a node is pushed (or, for
-        # leaves, visited inline), so a frame only ever holds a node
-        # whose subtree is being copied -- pruned subtrees never
-        # allocate a frame at all.
-        tuple_io += 1
-        if contribution[0] in tree_ids:
+        src_nodes = parent_tree.nodes
+        src_sizes = parent_tree.sizes
+        out_nodes = tree.nodes
+        out_sizes = tree.sizes
+        append_node = out_nodes.append
+        append_size = out_sizes.append
+        # The contribution's root spans the parent's whole array: as the
+        # wrapper, over the parent's root at ``top``; otherwise it *is*
+        # the entry at ``top``.
+        top = len(src_nodes) - 1
+        if wrapper is None:
+            node_id, i = src_nodes[top], top - 1
+        else:
+            node_id, i = wrapper, top
+        # The duplicate test runs *before* a node is entered, so pruned
+        # subtrees are never walked.
+        if node_id in tree_ids:
             # Present already, with every source that reaches it (see
             # module docstring): a duplicate encounter -- prune the
             # whole contribution without deriving anything.
-            metrics.fold(tuple_io=tuple_io, duplicates=duplicates + 1)
-            return None
-        # Each frame: [node, next_child_index, surviving_children].
-        # Leaves never get a frame of their own -- they are visited
-        # inline while expanding their parent (the majority of tree
-        # nodes are leaf sources, so this halves the traversal cost).
-        stack = [[contribution, 0, []]]
-        while stack:
-            frame = stack[-1]
-            node = frame[0]
-            child_index = frame[1]
-            children = node[1]
-            n_children = len(children)
-            while child_index < n_children:
-                child = children[child_index]
-                child_index += 1
-                tuple_io += 1
-                child_id = child[0]
-                if child_id in tree_ids:
-                    # Duplicate encounter: prune the whole subtree
-                    # without descending.
-                    duplicates += 1
-                    continue
-                grandchildren = child[1]
-                if grandchildren:
-                    frame[1] = child_index
-                    stack.append([child, 0, []])
-                    break
-                # Inline leaf visit: no frame of its own.  A non-source
-                # leaf is never special: spliced out.
-                if child_id in sources:
-                    tree_ids.add(child_id)
-                    source_bits |= 1 << child_id
-                    generated += 1
-                    frame[2].append([child_id, []])
-            else:
-                # Every child is examined: the node's copy is decided.
-                stack.pop()
-                surviving = frame[2]
-                node_id = node[0]
+            metrics.fold(tuple_io=1, duplicates=1)
+            return False
+        tuple_io, duplicates, generated, internal, source_bits = 1, 0, 0, 0, 0
+        # The open node: its id, the last array index before its block,
+        # the output length when it was entered and its surviving
+        # children so far.  Its open ancestors wait on ``stack``.
+        stop, entered, surviving = -1, len(out_nodes), 0
+        stack: list[tuple[int, int, int, int]] = []
+        while True:
+            while i <= stop:
+                # Every child is examined: the open node's copy is decided.
                 is_source = node_id in sources
-                if not is_source and len(surviving) < 2:
+                if not is_source and surviving < 2:
                     # A non-source interior node that no longer branches
                     # is not special any more: splice it out.
-                    copy = surviving[0] if surviving else None
+                    kept = surviving == 1
                 else:
                     # A new special node: one successful deduction.
-                    copy = [node_id, surviving]
+                    append_node(node_id)
+                    append_size(len(out_nodes) - entered)
                     if surviving:
                         internal += 1
                     tree_ids.add(node_id)
                     if is_source:
                         source_bits |= 1 << node_id
                     generated += 1
-                if copy is not None:
-                    if stack:
-                        stack[-1][2].append(copy)
-                    else:
-                        result = copy
-        metrics.fold(
-            tuple_io=tuple_io, duplicates=duplicates, tuples_generated=generated
-        )
-        tree.source_bits |= source_bits
-        tree.internal_count += internal
-        return result
+                    kept = True
+                if not stack:
+                    metrics.fold(
+                        tuple_io=tuple_io,
+                        duplicates=duplicates,
+                        tuples_generated=generated,
+                    )
+                    tree.source_bits |= source_bits
+                    tree.internal_count += internal
+                    return kept
+                node_id, stop, entered, surviving = stack.pop()
+                if kept:
+                    surviving += 1
+            tuple_io += 1
+            child_id = src_nodes[i]
+            size = src_sizes[i]
+            if child_id in tree_ids:
+                # Duplicate encounter: prune the whole subtree without
+                # descending.
+                duplicates += 1
+                i -= size
+            elif size > 1:
+                stack.append((node_id, stop, entered, surviving))
+                node_id, stop, entered, surviving = child_id, i - size, len(out_nodes), 0
+                i -= 1
+            else:
+                # A leaf: a source not yet present is copied; a non-source
+                # leaf is never special and is spliced out.
+                i -= 1
+                if child_id in sources:
+                    tree_ids.add(child_id)
+                    source_bits |= 1 << child_id
+                    generated += 1
+                    append_node(child_id)
+                    append_size(1)
+                    surviving += 1
 
     # -- output -----------------------------------------------------------------
 
@@ -350,7 +379,7 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         get = answer.get
         for node in ctx.topo_order:
             tree = trees[node]
-            if tree.ids:
+            if tree.size:
                 read_list(node)
             # A node can appear in its own tree as a branch (special)
             # node; it does not reach itself in an acyclic graph.
@@ -380,7 +409,7 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
             ctx.engine.flush_output(output_pages)
 
         metrics.set_totals(
-            distinct_tuples=sum(len(tree.ids) for tree in trees.values()),
+            distinct_tuples=sum(tree.size for tree in trees.values()),
             output_tuples=output_tuples,
         )
         return output_nodes

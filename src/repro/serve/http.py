@@ -24,6 +24,7 @@ traceback and never a wrong value:
 * 413 -- a request body over :data:`MAX_REQUEST_BYTES`
 * 414 / 431 -- a request line / header line longer than the stream
   reader's 64 KiB line limit
+* 431 -- more than :data:`MAX_HEADER_LINES` header lines
 * 503 + ``Retry-After`` -- load shed by bounded admission
 * 503 -- no index available yet (initial build still failing)
 * 504 -- per-request deadline expired (queue wait counts against it)
@@ -54,6 +55,9 @@ MAX_REQUEST_BYTES = 1 << 20
 
 LINE_LIMIT = 1 << 16
 """Longest request or header line (the ``asyncio.StreamReader`` limit)."""
+
+MAX_HEADER_LINES = 100
+"""Most header lines one request may carry: bounded memory per request."""
 
 _QUERY_ROUTES = {("GET", "/reachable"), ("GET", "/successors"), ("POST", "/batch")}
 
@@ -185,10 +189,16 @@ class ServeServer:
             return None
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
+        header_lines = 0
         while True:
             line = await _read_line(reader, 431, "request header line")
             if not line or line in (b"\r\n", b"\n"):
                 break
+            header_lines += 1
+            if header_lines > MAX_HEADER_LINES:
+                raise _FramingError(
+                    431, f"request has more than {MAX_HEADER_LINES} header lines"
+                )
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip().lower()
         raw_length = headers.get("content-length", "0") or "0"

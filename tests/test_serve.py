@@ -21,7 +21,12 @@ from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.cache import ResultCache
-from repro.serve.http import MAX_REQUEST_BYTES, ServeClient, ServeServer
+from repro.serve.http import (
+    MAX_HEADER_LINES,
+    MAX_REQUEST_BYTES,
+    ServeClient,
+    ServeServer,
+)
 from repro.serve.retry import (
     DEFAULT_BACKOFF_SEED,
     BackoffPolicy,
@@ -567,6 +572,46 @@ class TestHTTPFraming:
                 assert escaped == []
                 status, _ = await client.reachable(0, 1)
                 assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_too_many_headers_is_a_431(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                filler = b"".join(
+                    b"X-Filler-%d: a\r\n" % i for i in range(MAX_HEADER_LINES + 1)
+                )
+                request = b"GET /reachable?u=0&v=1 HTTP/1.1\r\n" + filler + b"\r\n"
+                status, payload, escaped = await raw_exchange(server, request)
+                assert status == 431
+                assert str(MAX_HEADER_LINES) in payload["error"]
+                assert escaped == []
+                assert service.telemetry.count("invalid_requests") == 1
+                status, _ = await client.reachable(0, 1)
+                assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_header_count_at_the_cap_is_served(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                filler = b"".join(
+                    b"X-Filler-%d: a\r\n" % i for i in range(MAX_HEADER_LINES)
+                )
+                writer.write(b"GET /reachable?u=0&v=1 HTTP/1.1\r\n" + filler + b"\r\n")
+                status_line = await asyncio.wait_for(reader.readline(), timeout=5)
+                assert status_line.split()[1] == b"200"
+                writer.close()
+                assert service.telemetry.count("invalid_requests") == 0
             finally:
                 await client.close()
                 await server.close()
